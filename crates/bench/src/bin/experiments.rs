@@ -928,6 +928,7 @@ fn exp13() {
     assert_eq!(snap.counter_total("cache.hits"), playback.reuse.hits);
     assert_eq!(snap.counter_total("cache.misses"), playback.reuse.misses);
     assert_eq!(snap.counter_total("cache.evictions"), playback.reuse.evictions);
+    assert_eq!(snap.counter_total("cache.fingerprints"), 1, "one video hash per cohort");
     assert_eq!(
         snap.span_count("render") + snap.span_count("switch"),
         playback.frames_served,

@@ -246,7 +246,9 @@ pub struct BenchReport {
 /// on the reference container with ~2× headroom so CI noise does not
 /// flap `met`. The `full` workload shares them: per-frame cost rises
 /// with area but so does per-iteration work, and the floors are meant
-/// as regression tripwires, not records.
+/// as regression tripwires, not records. `executor` keeps ~4× headroom
+/// under both modes (16–19k sessions/s on a 2-vCPU host once players
+/// share one video fingerprint per cache).
 fn target_per_s(name: &str) -> f64 {
     match name {
         "encode" => 90.0,
@@ -257,7 +259,7 @@ fn target_per_s(name: &str) -> f64 {
         "cohort_playback" => 6_000.0,
         "cohort_batched" => 2_500.0,
         "fleet" => 1_000.0,
-        "executor" => 100.0,
+        "executor" => 4_000.0,
         "durability" => 500.0,
         "journey" => 500.0,
         _ => 0.0,

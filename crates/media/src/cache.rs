@@ -24,24 +24,31 @@
 //! * **Observable** — hits, misses, evictions and resident bytes are
 //!   atomic counters; [`GopCache::stats`] snapshots them for analytics
 //!   and the EXP-11 tables.
+//! * **Fingerprint memo** — [`GopCache::video_id`] fingerprints each
+//!   shared video once per cache, so a learner joining a video costs
+//!   O(1) instead of an O(payload) hash per session.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
 use vgbl_obs::{Counter, Obs, Series, SeriesSpec};
 
 use crate::codec::EncodedVideo;
+use crate::container::{fnv1a, FNV_OFFSET};
 use crate::error::MediaError;
 use crate::frame::Frame;
 use crate::Result;
 
 /// Identity of an encoded video inside the cache key space.
 ///
-/// [`EncodedVideo`] carries no identity of its own, so cache consumers
-/// fingerprint the stream once ([`VideoId::of`]) or assign ids out-of-band
-/// ([`VideoId::from_raw`]) when they already know streams are distinct.
+/// [`EncodedVideo`] carries no identity of its own. Players get ids
+/// through [`GopCache::video_id`], which fingerprints each shared video
+/// once per cache and then answers from a memo; callers that hold no
+/// `Arc` fingerprint the stream directly ([`VideoId::of`]) or assign ids
+/// out-of-band ([`VideoId::from_raw`]) when they already know streams
+/// are distinct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VideoId(u64);
 
@@ -54,29 +61,19 @@ impl VideoId {
     /// Deterministic fingerprint of a stream: FNV-1a over the header
     /// fields and every frame's kind and payload. Two equal streams get
     /// equal ids; payload hashing makes collisions between different
-    /// streams vanishingly unlikely.
+    /// streams vanishingly unlikely. Un-memoised and O(payload): it is a
+    /// pure function of the content, which stays mutable through the
+    /// public fields of [`EncodedVideo`].
     pub fn of(video: &EncodedVideo) -> VideoId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&video.width.to_le_bytes());
-        eat(&video.height.to_le_bytes());
-        eat(&video.gop.to_le_bytes());
-        eat(&[video.quality.to_u8()]);
-        eat(&(video.frames.len() as u64).to_le_bytes());
+        let mut h = fnv1a(FNV_OFFSET, &video.width.to_le_bytes());
+        h = fnv1a(h, &video.height.to_le_bytes());
+        h = fnv1a(h, &video.gop.to_le_bytes());
+        h = fnv1a(h, &[video.quality.to_u8()]);
+        h = fnv1a(h, &(video.frames.len() as u64).to_le_bytes());
         for f in &video.frames {
-            let kind = match f.kind {
-                crate::container::FrameKind::Intra => 0u8,
-                crate::container::FrameKind::Inter => 1,
-                crate::container::FrameKind::Skip => 2,
-            };
-            eat(&[kind]);
-            eat(&(f.data.len() as u32).to_le_bytes());
-            eat(&f.data);
+            h = fnv1a(h, &[f.kind.to_u8()]);
+            h = fnv1a(h, &(f.data.len() as u32).to_le_bytes());
+            h = fnv1a(h, &f.data);
         }
         VideoId(h)
     }
@@ -190,6 +187,7 @@ struct CacheObs {
     // over the last N lookups" — a rolling hit-rate without wall time.
     hit_series: Series,
     miss_series: Series,
+    fingerprints: Counter,
 }
 
 /// Bin width (in touch ticks) for the cache hit/miss series.
@@ -209,6 +207,9 @@ pub struct GopCache {
     evictions: AtomicU64,
     resident_bytes: AtomicUsize,
     resident_gops: AtomicUsize,
+    /// [`GopCache::video_id`]'s memo: `Arc` allocation address → a
+    /// `Weak` pinning that allocation, and the id of its content.
+    videos: Mutex<HashMap<usize, (Weak<EncodedVideo>, VideoId)>>,
     obs: CacheObs,
 }
 
@@ -266,6 +267,7 @@ impl GopCache {
             evictions: AtomicU64::new(0),
             resident_bytes: AtomicUsize::new(0),
             resident_gops: AtomicUsize::new(0),
+            videos: Mutex::new(HashMap::new()),
             obs: CacheObs::default(),
         }
     }
@@ -276,7 +278,9 @@ impl GopCache {
     /// mirror the [`CacheStats`] atomics exactly — EXP-13 cross-checks
     /// the two accountings against each other — except that
     /// [`GopCache::reset_counters`] resets only the [`CacheStats`] side.
-    /// With a noop backend this is free.
+    /// `cache.fingerprints` counts the full-content hashes
+    /// [`GopCache::video_id`] ran (memo misses); it has no
+    /// [`CacheStats`] twin. With a noop backend this is free.
     pub fn observed(mut self, obs: &Obs) -> GopCache {
         let labels: &[(&str, &str)] = &[("pillar", "media")];
         self.obs = CacheObs {
@@ -294,8 +298,36 @@ impl GopCache {
                 CACHE_BIN_TICKS,
                 CACHE_BINS,
             )),
+            fingerprints: obs.counter("cache.fingerprints", labels),
         };
         self
+    }
+
+    /// The [`VideoId`] of `video`, fingerprinted at most once per `Arc`
+    /// allocation while it lives: later calls with any clone of the same
+    /// `Arc` answer from a memo, so a player joining a shared video pays
+    /// O(live videos) instead of an O(payload) [`VideoId::of`].
+    ///
+    /// The memo is keyed by `Arc::as_ptr(video)` and holds a `Weak` to
+    /// that allocation. Dead entries are pruned on every call before the
+    /// lookup, so a hit is a live `Weak` to this very allocation, and the
+    /// memo never holds more entries than there are live videos. A hit
+    /// never returns the id of different content: while the `Weak` is
+    /// held the allocation cannot be reused, `Arc::get_mut` refuses to
+    /// mutate, and `Arc::make_mut` moves the content to a new
+    /// allocation. The hash runs under the memo lock, so concurrent
+    /// first calls for one video fingerprint it once.
+    pub fn video_id(&self, video: &Arc<EncodedVideo>) -> VideoId {
+        let key = Arc::as_ptr(video) as usize;
+        let mut memo = self.videos.lock();
+        memo.retain(|_, (weak, _)| weak.strong_count() > 0);
+        if let Some(&(_, id)) = memo.get(&key) {
+            return id;
+        }
+        let id = VideoId::of(video);
+        self.obs.fingerprints.inc();
+        memo.insert(key, (Arc::downgrade(video), id));
+        id
     }
 
     /// Total capacity in GOPs (0 = disabled).
@@ -750,6 +782,71 @@ mod tests {
         assert_eq!(snap.counter_total("cache.misses"), s.misses);
         assert_eq!(snap.counter_total("cache.evictions"), s.evictions);
         assert_eq!(snap.counter_total("cache.coalesced_hits"), 0);
+    }
+
+    #[test]
+    fn video_id_values_are_pinned() {
+        // The ids the original inline FNV-1a loop produced: sharing the
+        // container's `fnv1a` must not move any cache key.
+        assert_eq!(VideoId::of(&encoded(4, 8)).raw(), 0x6c5d_3435_831d_819e);
+        assert_eq!(VideoId::of(&encoded(4, 16)).raw(), 0x0ad0_0da1_5bd8_62ec);
+    }
+
+    fn fingerprints(obs: &Obs) -> u64 {
+        obs.snapshot().counter_total("cache.fingerprints")
+    }
+
+    #[test]
+    fn video_id_fingerprints_each_arc_once() {
+        let obs = Obs::recording();
+        let cache = GopCache::new(8).observed(&obs);
+        let video = Arc::new(encoded(4, 8));
+        let want = VideoId::of(&video);
+        for _ in 0..5 {
+            assert_eq!(cache.video_id(&video.clone()), want);
+        }
+        assert_eq!(fingerprints(&obs), 1);
+    }
+
+    #[test]
+    fn video_id_of_equal_content_in_distinct_arcs_is_equal() {
+        let obs = Obs::recording();
+        let cache = GopCache::new(8).observed(&obs);
+        let a = Arc::new(encoded(4, 8));
+        let b = Arc::new(encoded(4, 8));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.video_id(&a), cache.video_id(&b));
+        assert_eq!(cache.video_id(&a), VideoId::of(&a));
+        assert_eq!(fingerprints(&obs), 2, "one fingerprint per allocation");
+    }
+
+    #[test]
+    fn video_id_follows_make_mut_to_the_new_content() {
+        let cache = GopCache::new(8);
+        let mut video = Arc::new(encoded(4, 8));
+        let before = cache.video_id(&video);
+        assert!(Arc::get_mut(&mut video).is_none(), "the memo's Weak blocks in-place mutation");
+        Arc::make_mut(&mut video).frames.truncate(4);
+        let after = cache.video_id(&video);
+        assert_eq!(after, VideoId::of(&video), "the id of the new content");
+        assert_ne!(after, before);
+        assert_eq!(cache.videos.lock().len(), 1, "the moved-from entry is pruned");
+    }
+
+    #[test]
+    fn video_id_memo_is_bounded_by_live_videos() {
+        let cache = GopCache::new(8);
+        let keep = Arc::new(encoded(4, 8));
+        let dropped: Vec<Arc<EncodedVideo>> =
+            (0..3).map(|n| Arc::new(encoded(4, 12 + 4 * n))).collect();
+        cache.video_id(&keep);
+        for v in &dropped {
+            cache.video_id(v);
+        }
+        assert_eq!(cache.videos.lock().len(), 4);
+        drop(dropped);
+        assert_eq!(cache.video_id(&keep), VideoId::of(&keep));
+        assert_eq!(cache.videos.lock().len(), 1, "dead videos leave the memo");
     }
 
     #[test]

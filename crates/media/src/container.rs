@@ -35,7 +35,7 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             FrameKind::Intra => 0,
             FrameKind::Inter => 1,
@@ -70,10 +70,12 @@ pub struct VgvHeader {
     pub frame_count: u32,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`, continuing from the running hash `init` (start
+/// from [`FNV_OFFSET`]).
+pub(crate) fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
     let mut h = init;
     for &b in bytes {
         h ^= b as u64;

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vgbl_media::cache::{GopCache, VideoId};
+use vgbl_media::cache::GopCache;
 use vgbl_media::codec::{Decoder, EncodedVideo};
 use vgbl_media::parallel::parallel_map_indexed;
 use vgbl_media::{SegmentId, SegmentTable};
@@ -129,7 +129,7 @@ pub fn run_playback_cohort_batched(
         });
     }
     let workers = workers.max(1);
-    let video_id = VideoId::of(&video);
+    let video_id = cache.video_id(&video);
     let decoder = Decoder::default();
 
     let mut sessions: Vec<LockstepSession> = (0..n_sessions)

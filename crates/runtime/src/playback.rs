@@ -116,6 +116,8 @@ impl PlaybackController {
     /// Creates a player whose decoded GOPs live in `cache`, which may be
     /// shared with any number of other players of any videos (entries
     /// are keyed by content fingerprint, so distinct streams coexist).
+    /// The fingerprint comes from [`GopCache::video_id`], so only the
+    /// first player of a shared `Arc` pays the O(payload) hash.
     pub fn shared(
         video: Arc<EncodedVideo>,
         segments: SegmentTable,
@@ -133,7 +135,7 @@ impl PlaybackController {
         segments
             .get(initial)
             .ok_or_else(|| MediaError::InvalidSegment(format!("unknown segment {initial}")))?;
-        let video_id = VideoId::of(&video);
+        let video_id = cache.video_id(&video);
         Ok(PlaybackController {
             video,
             video_id,

@@ -24,7 +24,7 @@ use crossbeam::channel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vgbl_obs::{Obs, Series, SeriesSpec, SpanRecorder};
-use vgbl_media::cache::{GopCache, VideoId};
+use vgbl_media::cache::GopCache;
 use vgbl_media::codec::{Decoder, EncodedVideo};
 use vgbl_media::parallel::parallel_map_indexed;
 use vgbl_media::{SegmentId, SegmentTable};
@@ -401,7 +401,8 @@ pub struct PlaybackCohortReport {
 /// the walk and its trace are byte-identical to the threaded path.
 struct PlaybackSessionTask<'a> {
     video: Arc<EncodedVideo>,
-    segments: SegmentTable,
+    /// Moved into the player on the first poll.
+    segments: Option<SegmentTable>,
     cache: Arc<GopCache>,
     i: usize,
     n_segments: u32,
@@ -443,7 +444,7 @@ impl SessionTask for PlaybackSessionTask<'_> {
             let initial = SegmentId(self.i as u32 % self.n_segments);
             let player = match PlaybackController::shared(
                 self.video.clone(),
-                self.segments.clone(),
+                self.segments.take().expect("segments are taken once, by the first poll"),
                 initial,
                 self.cache.clone(),
             ) {
@@ -605,7 +606,7 @@ fn playback_cohort_executor_core(
         ));
     }
     let workers = workers.max(1);
-    let video_id = VideoId::of(&video);
+    let video_id = cache.video_id(&video);
     let decoder = Decoder::default();
     let completed_ctr = obs.counter("cohort.sessions_completed", &[("pillar", "runtime")]);
     let failed_ctr = obs.counter("cohort.sessions_failed", &[("pillar", "runtime")]);
@@ -616,7 +617,7 @@ fn playback_cohort_executor_core(
     let tasks: Vec<PlaybackSessionTask<'_>> = (0..n_sessions)
         .map(|i| PlaybackSessionTask {
             video: video.clone(),
-            segments: segments.clone(),
+            segments: Some(segments.clone()),
             cache: cache.clone(),
             i,
             n_segments,
