@@ -1,7 +1,8 @@
 //! Measurement core of the `vgbl-bench` binary: one deterministic
 //! workload walked through every pipeline stage the paper's learner
 //! sessions exercise — encode, full decode, cold and cached seeks,
-//! streaming fetch, and cohort playback (per-session and batched) —
+//! streaming fetch, cohort playback, the sharded fleet and the
+//! cooperative executor —
 //! timed as min-of-iterations wall clock and emitted as a
 //! machine-readable `BENCH_<n>.json` snapshot.
 //!
@@ -29,25 +30,41 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use vgbl::media::cache::{GopCache, VideoId};
+use vgbl::media::container::{fnv1a, FNV_OFFSET};
 use vgbl::media::codec::{Decoder, EncodedVideo, Quality};
 use vgbl::media::FrameKind;
 use vgbl::media::seek::{seek, seek_cached};
 use vgbl::media::SegmentId;
 use vgbl::obs::{folded_stacks, hotspot_table, Obs, SpanRecorder};
 use vgbl::runtime::{
-    run_fleet, run_playback_cohort, run_playback_cohort_batched, run_playback_cohort_with_stats,
-    ArrivalPlan, FleetConfig, FleetWorkload, ShardFault, ShardFaultKind, SupervisorConfig,
+    run_fleet, run_playback_cohort, run_playback_cohort_with_stats, ArrivalPlan, FleetConfig,
+    FleetWorkload, ShardFault, ShardFaultKind, SupervisorConfig,
 };
 use vgbl::store::{DiskFaultPlan, StoreConfig};
 use vgbl::stream::{simulate, ChunkMap, LinkModel, PrefetchPolicy, TraceStep};
 
 use crate::{bench_footage, encode, table_for, RATE};
 
-/// The operations every snapshot covers, in emission order. `fleet`
-/// arrived with the `vgbl-bench/2` schema, `executor` with
-/// `vgbl-bench/3`, `durability` with `vgbl-bench/4` and `journey` with
-/// `vgbl-bench/5`; older snapshots carry prefixes of this list.
-pub const OPS: [&str; 11] = [
+/// The operations every `vgbl-bench/6` snapshot covers, in emission
+/// order.
+pub const OPS: [&str; 10] = [
+    "encode",
+    "decode_all",
+    "seek_cold",
+    "seek_cached",
+    "stream_fetch",
+    "cohort_playback",
+    "fleet",
+    "executor",
+    "durability",
+    "journey",
+];
+
+/// The op list of `vgbl-bench/1`–`/5`, which also carried
+/// `cohort_batched` (the retired lockstep cohort runner). `fleet` arrived
+/// with `/2`, `executor` with `/3`, `durability` with `/4` and `journey`
+/// with `/5`; older snapshots carry prefixes of this list.
+const LEGACY_OPS: [&str; 11] = [
     "encode",
     "decode_all",
     "seek_cold",
@@ -61,20 +78,22 @@ pub const OPS: [&str; 11] = [
     "journey",
 ];
 
-/// The required op set for a document: everything for `vgbl-bench/5`,
-/// schema-appropriate prefixes for older snapshots (and trajectories
-/// over them).
+/// The required op set for a document: [`OPS`] for `vgbl-bench/6`,
+/// schema-appropriate prefixes of [`LEGACY_OPS`] for older snapshots
+/// (and trajectories over them).
 fn required_ops(json: &str) -> &'static [&'static str] {
-    if json.contains("\"vgbl-bench/5\"") {
+    if json.contains("\"vgbl-bench/6\"") {
         &OPS
+    } else if json.contains("\"vgbl-bench/5\"") {
+        &LEGACY_OPS
     } else if json.contains("\"vgbl-bench/4\"") {
-        &OPS[..10]
+        &LEGACY_OPS[..10]
     } else if json.contains("\"vgbl-bench/3\"") {
-        &OPS[..9]
+        &LEGACY_OPS[..9]
     } else if json.contains("\"vgbl-bench/2\"") {
-        &OPS[..8]
+        &LEGACY_OPS[..8]
     } else {
-        &OPS[..7]
+        &LEGACY_OPS[..7]
     }
 }
 
@@ -257,7 +276,6 @@ fn target_per_s(name: &str) -> f64 {
         "seek_cached" => 5_000_000.0,
         "stream_fetch" => 2_000_000.0,
         "cohort_playback" => 6_000.0,
-        "cohort_batched" => 2_500.0,
         "fleet" => 1_000.0,
         "executor" => 4_000.0,
         "durability" => 500.0,
@@ -376,25 +394,6 @@ pub fn run(mode: Mode, label: &str) -> BenchReport {
         served = report.frames_served;
     });
     ops.push(push("cohort_playback", wall, served, "frames"));
-
-    // cohort_batched: the same walks in tick-lockstep with batched GOP
-    // decode (each GOP once per tick, fanned over the pool).
-    let mut served = 0usize;
-    let wall = timed(&mut rec, "cohort_batched", &mut || {
-        let cache = Arc::new(GopCache::new(n_gops));
-        let report = run_playback_cohort_batched(
-            video.clone(),
-            &table,
-            cache,
-            w.sessions,
-            w.workers,
-            w.steps,
-        )
-        .expect("batched cohort runs");
-        assert_eq!(report.failed, 0, "bench cohort must not fail");
-        served = report.frames_served;
-    });
-    ops.push(push("cohort_batched", wall, served, "frames"));
 
     // fleet: the sharded supervisor routing a seeded synthetic stampede
     // through a mid-run shard crash — consistent-hash routing, admission,
@@ -527,12 +526,12 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serialises a report as a `vgbl-bench/5` JSON snapshot.
+/// Serialises a report as a `vgbl-bench/6` JSON snapshot.
 pub fn to_json(report: &BenchReport) -> String {
     let w = &report.workload;
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"vgbl-bench/5\",");
+    let _ = writeln!(out, "  \"schema\": \"vgbl-bench/6\",");
     let _ = writeln!(out, "  \"label\": \"{}\",", json_escape(&report.label));
     let _ = writeln!(out, "  \"mode\": \"{}\",", report.mode.name());
     let _ = writeln!(out, "  \"workload\": {{");
@@ -671,17 +670,8 @@ pub fn merge_trajectory(before: &str, after: &str) -> String {
     out
 }
 
-/// FNV-1a over a byte slice, chained.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn encoded_checksum(video: &EncodedVideo) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for f in &video.frames {
         let kind = match f.kind {
             FrameKind::Intra => 0u8,
@@ -697,7 +687,7 @@ fn encoded_checksum(video: &EncodedVideo) -> u64 {
 
 fn decoded_checksum(video: &EncodedVideo) -> u64 {
     let decoded = Decoder::default().decode_all(video).expect("golden video decodes");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for f in &decoded.frames {
         h = fnv1a(h, f.raw());
     }
@@ -738,9 +728,34 @@ mod tests {
         assert!(report.hotspot_table.contains("encode"));
         assert!(report.folded.contains("bench;"));
 
+        // A v6 snapshot must carry every current op.
+        for op in OPS {
+            let key = format!("\"{op}\":");
+            let without: String =
+                json.lines().filter(|l| !l.contains(&key)).collect::<Vec<_>>().join("\n");
+            assert!(validate_json(&without).is_err(), "v6 snapshot must carry the {op} op");
+        }
+
         // Schema compatibility: each older schema validates without the
         // ops that arrived after it, and each newer schema requires them.
-        let v4: String = json
+        // v1–v5 also carried the retired `cohort_batched` op.
+        let v5: String = json
+            .replace("\"vgbl-bench/6\"", "\"vgbl-bench/5\"")
+            .lines()
+            .flat_map(|l| {
+                let retired = l
+                    .contains("\"cohort_playback\":")
+                    .then(|| l.replace("cohort_playback", "cohort_batched"));
+                std::iter::once(l.to_string()).chain(retired)
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        validate_json(&v5).expect("v5 snapshot validates with cohort_batched");
+        assert!(
+            validate_json(&json.replace("\"vgbl-bench/6\"", "\"vgbl-bench/5\"")).is_err(),
+            "v5 snapshot must carry the cohort_batched op"
+        );
+        let v4: String = v5
             .replace("\"vgbl-bench/5\"", "\"vgbl-bench/4\"")
             .lines()
             .filter(|l| !l.contains("\"journey\":"))

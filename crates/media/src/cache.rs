@@ -809,6 +809,35 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_first_video_id_calls_fingerprint_once() {
+        // Four threads make their first lookup of one video at the same
+        // moment. The hash runs under the memo lock, so one of them pays
+        // it; the payload is padded so the hash (~0.5 ms) is a wide
+        // window for a racing lookup to slip into, and the race is run
+        // on several fresh caches.
+        let mut padded = encoded(4, 8);
+        for f in &mut padded.frames {
+            f.data = vec![0x5a; 64 * 1024];
+        }
+        let video = Arc::new(padded);
+        let want = VideoId::of(&video);
+        for _ in 0..8 {
+            let obs = Obs::recording();
+            let cache = GopCache::new(8).observed(&obs);
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        start.wait();
+                        assert_eq!(cache.video_id(&video), want);
+                    });
+                }
+            });
+            assert_eq!(fingerprints(&obs), 1);
+        }
+    }
+
+    #[test]
     fn video_id_of_equal_content_in_distinct_arcs_is_equal() {
         let obs = Obs::recording();
         let cache = GopCache::new(8).observed(&obs);

@@ -70,12 +70,13 @@ pub struct VgvHeader {
     pub frame_count: u32,
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the starting value of a fresh [`fnv1a`] hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over `bytes`, continuing from the running hash `init` (start
 /// from [`FNV_OFFSET`]).
-pub(crate) fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
     let mut h = init;
     for &b in bytes {
         h ^= b as u64;

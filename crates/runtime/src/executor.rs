@@ -44,6 +44,7 @@ use vgbl_obs::{Obs, SeriesSpec};
 use vgbl_stream::{BatchPlan, BatchPlanner};
 
 use crate::server::panic_reason;
+use crate::supervisor::mix;
 
 // ---------------------------------------------------------------------------
 // Simulated time + event queue
@@ -250,24 +251,23 @@ pub struct CohortRun<R> {
     pub stats: ExecutorStats,
 }
 
-/// Splitmix64: the seeded run-queue permutation stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Deterministic Fisher–Yates shuffle of this tick's run queue, seeded
-/// by `(seed, tick)`.
+/// by `(seed, tick)`. The draws are the splitmix64 stream: `mix` of a
+/// state that advances by the golden-ratio increment after each draw.
 fn shuffle_queue(queue: &mut [usize], seed: u64, tick: u64) {
     let mut state = seed ^ tick.wrapping_mul(0x2545_f491_4f6c_dd1d);
     for i in (1..queue.len()).rev() {
-        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+        let j = (mix(state) % (i as u64 + 1)) as usize;
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         queue.swap(i, j);
     }
 }
+
+/// One simulated tick of executor time, in microseconds, for the
+/// per-tick series. The executor has no external clock; its tick index
+/// *is* the clock, scaled so series bins line up with the registry's
+/// microsecond convention.
+const TICK_US: u64 = 1_000;
 
 /// Runs a cohort of [`SessionTask`]s to completion on the cooperative
 /// executor.
@@ -278,28 +278,12 @@ fn shuffle_queue(queue: &mut [usize], seed: u64, tick: u64) {
 /// shared cache through `parallel_map_indexed`), then resume within the
 /// tick. Tasks that yielded [`Step::Pending`] sleep until the next
 /// tick. Panics retire the offending task only.
-pub fn run_tasks<S, R, F>(tasks: Vec<S>, seed: u64, fetch_batch: F) -> CohortRun<R>
-where
-    S: SessionTask<Output = R>,
-    F: FnMut(&BatchPlan<S::Fetch>),
-{
-    run_tasks_observed(tasks, seed, fetch_batch, &Obs::noop())
-}
-
-/// One simulated tick of executor time, in microseconds, for the
-/// per-tick series. The executor has no external clock; its tick index
-/// *is* the clock, scaled so series bins line up with the registry's
-/// microsecond convention.
-const TICK_US: u64 = 1_000;
-
-/// [`run_tasks`] with executor observability: an
-/// `executor.run_queue_depth` high-water gauge, an
+///
+/// `obs` receives an `executor.run_queue_depth` high-water gauge, an
 /// `executor.fetch_batch_size` histogram (one sample per coalesced
 /// batch round), and an `executor.polled_tasks` per-tick series on the
-/// tick clock. A noop `obs` makes every tap a single branch — this is
-/// exactly what [`run_tasks`] passes, so the unobserved hot path is
-/// unchanged.
-pub fn run_tasks_observed<S, R, F>(
+/// tick clock. With [`Obs::noop`] every tap is a single branch.
+pub fn run_tasks<S, R, F>(
     mut tasks: Vec<S>,
     seed: u64,
     mut fetch_batch: F,
@@ -454,7 +438,7 @@ mod tests {
     #[test]
     fn executor_runs_cohort_to_completion_in_index_order() {
         let tasks: Vec<CountTask> = (1..=5).map(|i| counting(i, None)).collect();
-        let run = run_tasks(tasks, 7, |_plan: &BatchPlan<u32>| {});
+        let run = run_tasks(tasks, 7, |_plan: &BatchPlan<u32>| {}, &Obs::noop());
         assert_eq!(run.rows.len(), 5);
         for (i, row) in run.rows.iter().enumerate() {
             let polls = row.as_ref().unwrap().as_ref().unwrap();
@@ -470,9 +454,12 @@ mod tests {
         let run = |seed: u64| {
             let tasks: Vec<CountTask> = (1..=8).map(|i| counting(i, Some(i % 3))).collect();
             let mut plans: Vec<Vec<u32>> = Vec::new();
-            let run = run_tasks(tasks, seed, |plan: &BatchPlan<u32>| {
-                plans.push(plan.keys.clone());
-            });
+            let run = run_tasks(
+                tasks,
+                seed,
+                |plan: &BatchPlan<u32>| plans.push(plan.keys.clone()),
+                &Obs::noop(),
+            );
             let rows: Vec<u32> =
                 run.rows.iter().map(|r| *r.as_ref().unwrap().as_ref().unwrap()).collect();
             (rows, plans)
@@ -488,9 +475,14 @@ mod tests {
         // fetch round, not six.
         let tasks: Vec<CountTask> = (0..6).map(|_| counting(3, Some(42))).collect();
         let mut seen = Vec::new();
-        let run = run_tasks(tasks, 3, |plan: &BatchPlan<u32>| {
-            seen.push((plan.keys.clone(), plan.waiters.iter().map(Vec::len).sum::<usize>()));
-        });
+        let run = run_tasks(
+            tasks,
+            3,
+            |plan: &BatchPlan<u32>| {
+                seen.push((plan.keys.clone(), plan.waiters.iter().map(Vec::len).sum::<usize>()));
+            },
+            &Obs::noop(),
+        );
         assert_eq!(run.stats.batches, 3, "one fetch round per step");
         assert_eq!(run.stats.batched_keys, 3);
         for (keys, waiters) in seen {
@@ -505,7 +497,7 @@ mod tests {
         tasks[2].panic_at = Some(2);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let run = run_tasks(tasks, 11, |_plan: &BatchPlan<u32>| {});
+        let run = run_tasks(tasks, 11, |_plan: &BatchPlan<u32>| {}, &Obs::noop());
         std::panic::set_hook(prev);
         assert_eq!(run.stats.panics, 1);
         for (i, row) in run.rows.iter().enumerate() {
@@ -524,7 +516,7 @@ mod tests {
         let obs = Obs::recording();
         let tasks: Vec<CountTask> = (1..=6).map(|i| counting(i, Some(i % 2))).collect();
         let polled = obs.series(SeriesSpec::counter("executor.polled_tasks", TICK_US, 4096));
-        let run = run_tasks_observed(tasks, 5, |_plan: &BatchPlan<u32>| {}, &obs);
+        let run = run_tasks(tasks, 5, |_plan: &BatchPlan<u32>| {}, &obs);
         let snap = obs.snapshot();
         assert_eq!(
             snap.gauge_max("executor.run_queue_depth"),
@@ -542,7 +534,7 @@ mod tests {
 
         // The unobserved path is byte-identical: same rows, same stats.
         let tasks: Vec<CountTask> = (1..=6).map(|i| counting(i, Some(i % 2))).collect();
-        let plain = run_tasks(tasks, 5, |_plan: &BatchPlan<u32>| {});
+        let plain = run_tasks(tasks, 5, |_plan: &BatchPlan<u32>| {}, &Obs::noop());
         let rows = |r: &CohortRun<u32>| -> Vec<Option<std::result::Result<u32, String>>> {
             r.rows.clone()
         };
@@ -565,5 +557,14 @@ mod tests {
         let mut q3: Vec<usize> = (0..97).collect();
         shuffle_queue(&mut q3, 0xfeed, 13);
         assert_ne!(q, q3);
+    }
+
+    #[test]
+    fn executor_shuffle_order_is_pinned() {
+        // Cohort outputs are independent of poll order by design, so no
+        // output test notices a changed shuffle; this pins the order.
+        let mut q: Vec<usize> = (0..16).collect();
+        shuffle_queue(&mut q, 0xfeed, 12);
+        assert_eq!(q, vec![1, 5, 9, 3, 2, 7, 12, 8, 0, 10, 15, 4, 6, 14, 13, 11]);
     }
 }

@@ -44,7 +44,6 @@
 
 pub mod analytics;
 pub mod baseline;
-pub mod batch;
 pub mod bot;
 pub mod chaos;
 pub mod device;
@@ -66,14 +65,12 @@ pub mod supervisor;
 pub use analytics::{
     DecodeReuse, LatencySummary, LearningReport, LogEvent, ResilienceReport, SessionLog,
 };
-pub use batch::{run_playback_cohort_batched, BatchedCohortReport};
 pub use bot::{run_session, run_session_observed, Bot, BotRun, ExplorerBot, GuidedBot, RandomBot};
 pub use device::{RemoteButton, RemoteControl};
 pub use engine::{GameSession, SessionConfig};
 pub use error::RuntimeError;
 pub use executor::{
-    run_tasks, run_tasks_observed, CohortRun, EventQueue, ExecutorStats, SessionTask, SimTime,
-    Step, Timed,
+    run_tasks, CohortRun, EventQueue, ExecutorStats, SessionTask, SimTime, Step, Timed,
 };
 pub use feedback::Feedback;
 pub use chaos::{
@@ -89,9 +86,8 @@ pub use inventory::Inventory;
 pub use playback::{PlaybackController, PlaybackStats};
 pub use save::SaveGame;
 pub use server::{
-    run_cohort, run_cohort_threaded, run_playback_cohort, run_playback_cohort_observed,
-    run_playback_cohort_observed_threaded, run_playback_cohort_threaded,
-    run_playback_cohort_with_stats, PlaybackCohortReport, ServerReport, SessionOutcome,
+    run_cohort, run_playback_cohort, run_playback_cohort_observed, run_playback_cohort_with_stats,
+    PlaybackCohortReport, ServerReport, SessionOutcome,
 };
 pub use state::GameState;
 pub use supervisor::{

@@ -227,10 +227,11 @@ impl PlaybackController {
 
     /// Moves the playhead to the first frame of `id` **without serving a
     /// frame**. This is [`PlaybackController::switch_segment`] minus the
-    /// implicit render: the batched cohort runner (`crate::batch`) moves
-    /// every session first, prewarms the union of needed GOPs once, and
-    /// only then serves — so the switch is counted here and the serve
-    /// happens on the follow-up [`PlaybackController::current_frame`].
+    /// implicit render: the executor's playback cohort
+    /// ([`crate::server::run_playback_cohort`]) moves every session first,
+    /// prewarms the tick's needed GOPs once, and only then serves — so
+    /// the switch is counted here and the serve happens on the follow-up
+    /// [`PlaybackController::current_frame`].
     pub fn seek_segment(&mut self, id: SegmentId) -> Result<()> {
         self.segments
             .get(id)

@@ -8,19 +8,17 @@
 //! machine on the deterministic [`crate::executor`] (seeded run queue,
 //! per-tick batched GOP prewarm through the work-stealing decode pool),
 //! and aggregate the per-session analytics into one [`LearningReport`].
-//! The original thread-per-session implementations are kept as
-//! `*_threaded` reference paths; `tests/executor_equivalence.rs` pins
-//! the two byte-identical.
+//! `tests/executor_equivalence.rs` pins them byte-identical to a
+//! sequential one-session-at-a-time oracle built on
+//! [`crate::bot::run_session`] and [`PlaybackController`].
 //!
 //! **Fault isolation**: a session that errors — or outright panics — is
 //! contained to its own [`SessionOutcome::Failed`] row. The rest of the
 //! cohort completes and the cohort call still returns `Ok`; a server for
 //! "millions of users" cannot let one broken session kill the process.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crossbeam::channel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vgbl_obs::{Obs, Series, SeriesSpec, SpanRecorder};
@@ -31,9 +29,9 @@ use vgbl_media::{SegmentId, SegmentTable};
 use vgbl_scene::SceneGraph;
 
 use crate::analytics::{DecodeReuse, LearningReport};
-use crate::bot::{run_session, Bot, BotRun};
+use crate::bot::{Bot, BotRun};
 use crate::engine::{GameSession, SessionConfig};
-use crate::executor::{run_tasks, run_tasks_observed, ExecutorStats, SessionTask, Step};
+use crate::executor::{run_tasks, ExecutorStats, SessionTask, Step};
 use crate::input::InputEvent;
 use crate::playback::{PlaybackController, PlaybackStats};
 use crate::{Result, RuntimeError};
@@ -232,9 +230,8 @@ impl SessionTask for BotSessionTask<'_> {
 ///
 /// Deterministic *per session*: session `i` always plays the same game
 /// (factories receive the session index, so seeded bots reproduce runs
-/// regardless of scheduling). Byte-identical to
-/// [`run_cohort_threaded`]; `workers` is accepted for API compatibility
-/// (bot decisions are not batchable work).
+/// regardless of scheduling). `workers` is accepted for API
+/// compatibility (bot decisions are not batchable work).
 ///
 /// Sessions are fault-isolated: a panicking or erroring session becomes
 /// a [`SessionOutcome::Failed`] row while every other session completes,
@@ -276,89 +273,8 @@ pub fn run_cohort(
             steps: 0,
         })
         .collect();
-    let run = run_tasks(tasks, RUN_QUEUE_SEED, |_plan| {});
+    let run = run_tasks(tasks, RUN_QUEUE_SEED, |_plan| {}, &Obs::noop());
     let (outcomes, runs) = split_rows(run.rows);
-
-    let total_steps = runs.iter().map(|r| r.steps).sum();
-    let learning = LearningReport::from_sessions(runs.iter().map(|r| (&r.log, r.state.score)));
-    Ok(ServerReport {
-        sessions: runs.len(),
-        failed: outcomes.iter().filter(|o| o.is_failed()).count(),
-        outcomes,
-        learning,
-        total_steps,
-    })
-}
-
-/// The original thread-per-session implementation of [`run_cohort`]:
-/// `workers` OS threads over crossbeam channels, one `catch_unwind` per
-/// session. Kept as the reference the executor path is pinned
-/// byte-identical against.
-///
-/// # Errors
-/// Never fails on per-session problems; the `Result` is kept for
-/// structural errors of future transports.
-pub fn run_cohort_threaded(
-    graph: Arc<SceneGraph>,
-    config: SessionConfig,
-    n_sessions: usize,
-    workers: usize,
-    bot_factory: &BotFactory,
-    max_steps: usize,
-    tick_ms: u64,
-) -> Result<ServerReport> {
-    if n_sessions == 0 {
-        return Ok(ServerReport {
-            sessions: 0,
-            failed: 0,
-            outcomes: Vec::new(),
-            learning: LearningReport::from_sessions(std::iter::empty()),
-            total_steps: 0,
-        });
-    }
-    let workers = workers.max(1).min(n_sessions);
-    let (job_tx, job_rx) = channel::unbounded::<usize>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, std::result::Result<BotRun, String>)>();
-    for i in 0..n_sessions {
-        job_tx.send(i).expect("queue open");
-    }
-    drop(job_tx);
-
-    // A worker can no longer bring the cohort down: each session runs
-    // under `catch_unwind`, and even if a worker thread somehow dies,
-    // its unreported sessions surface as `Failed` rows below.
-    let _ = crossbeam::scope(|s| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let graph = graph.clone();
-            let config = config.clone();
-            s.spawn(move |_| {
-                for i in job_rx.iter() {
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut bot = bot_factory(i);
-                        run_session(graph.clone(), config.clone(), &mut *bot, max_steps, tick_ms)
-                    }));
-                    let row = match run {
-                        Ok(Ok(r)) => Ok(r),
-                        Ok(Err(e)) => Err(e.to_string()),
-                        Err(payload) => Err(panic_reason(payload)),
-                    };
-                    if res_tx.send((i, row)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    drop(res_tx);
-
-    let mut rows: Vec<Option<std::result::Result<BotRun, String>>> =
-        (0..n_sessions).map(|_| None).collect();
-    for (i, row) in res_rx.iter() {
-        rows[i] = Some(row);
-    }
-    let (outcomes, runs) = split_rows(rows);
 
     let total_steps = runs.iter().map(|r| r.steps).sum();
     let learning = LearningReport::from_sessions(runs.iter().map(|r| (&r.log, r.state.score)));
@@ -397,8 +313,8 @@ pub struct PlaybackCohortReport {
 /// [`Step::Fetch`] for the GOP its next serve needs — the executor
 /// coalesces the whole tick's keys and prewarms them once — then
 /// serves from the (now warm) cache. Events, series records and RNG
-/// draws happen in exactly the order `play_one_session` makes them, so
-/// the walk and its trace are byte-identical to the threaded path.
+/// draws happen in the order a sequential walk of the session would
+/// make them, so the walk and its trace do not depend on scheduling.
 struct PlaybackSessionTask<'a> {
     video: Arc<EncodedVideo>,
     /// Moved into the player on the first poll.
@@ -423,7 +339,7 @@ struct PlaybackSessionTask<'a> {
 impl PlaybackSessionTask<'_> {
     /// Transitions into the serve phase, requesting the needed GOP
     /// when it is knowable (a broken cursor falls through to the serve,
-    /// which produces the same error the threaded walk would).
+    /// which produces the same error a sequential walk would).
     fn request_serve(&mut self) -> Step<usize, std::result::Result<PlaybackStats, String>> {
         self.serving = true;
         match self.player.as_ref().expect("player set in init").pending_keyframe() {
@@ -439,8 +355,8 @@ impl SessionTask for PlaybackSessionTask<'_> {
 
     fn poll(&mut self) -> Step<usize, std::result::Result<PlaybackStats, String>> {
         if self.player.is_none() {
-            // Setup in `play_one_session`'s order: player, series
-            // handles, RNG, root span, the step-0 render event.
+            // Setup order: player, series handles, RNG, root span, the
+            // step-0 render event.
             let initial = SegmentId(self.i as u32 % self.n_segments);
             let player = match PlaybackController::shared(
                 self.video.clone(),
@@ -471,8 +387,8 @@ impl SessionTask for PlaybackSessionTask<'_> {
             }
             return Step::Pending;
         }
-        // Move phase: the same draws, events and series records as the
-        // threaded walk's loop body, split at the fetch boundary.
+        // Move phase: one step's draws, events and series records,
+        // split at the fetch boundary.
         let step = self.step;
         self.step += 1;
         if self.rng.gen_range(0..4u32) == 0 {
@@ -494,9 +410,7 @@ impl SessionTask for PlaybackSessionTask<'_> {
 
     fn flush(&mut self) {
         // The recorder outlives any panic inside `poll`, so a session
-        // that dies mid-walk still exports every span it recorded —
-        // the same guarantee the threaded path's out-of-unwind
-        // recorder gave.
+        // that dies mid-walk still exports every span it recorded.
         self.obs.attach(std::mem::replace(&mut self.rec, SpanRecorder::disabled()));
     }
 }
@@ -639,13 +553,11 @@ fn playback_cohort_executor_core(
         .collect();
 
     // Batch resolution: decode the tick's missing GOPs exactly once,
-    // fanned over the work-stealing pool — the same prewarm the
-    // lockstep runner (`crate::batch`) does, driven by the executor's
+    // fanned over the work-stealing pool, driven by the executor's
     // coalesced fetch plan. With caching disabled there is no residency
-    // to share: sessions decode for themselves, as the threaded path
-    // would.
+    // to share: sessions decode for themselves.
     let mut prewarm_frames = 0usize;
-    let run = run_tasks_observed(
+    let run = run_tasks(
         tasks,
         RUN_QUEUE_SEED,
         |plan| {
@@ -690,198 +602,6 @@ fn playback_cohort_executor_core(
         },
         run.stats,
     ))
-}
-
-/// The original thread-per-session implementation of
-/// [`run_playback_cohort`]: `workers` OS threads, one `catch_unwind`
-/// per session, every session decoding for itself through the shared
-/// cache's miss-coalescing. Kept as the reference the executor path is
-/// pinned byte-identical against.
-///
-/// # Errors
-/// Never fails on per-session problems; mirrors [`run_playback_cohort`].
-pub fn run_playback_cohort_threaded(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-) -> Result<PlaybackCohortReport> {
-    playback_cohort_core(
-        video,
-        segments,
-        cache,
-        n_sessions,
-        workers,
-        steps_per_session,
-        &Obs::noop(),
-    )
-}
-
-/// [`run_playback_cohort_observed`]'s thread-per-session reference
-/// implementation; see [`run_playback_cohort_threaded`].
-///
-/// # Errors
-/// Never fails on per-session problems; mirrors [`run_playback_cohort`].
-pub fn run_playback_cohort_observed_threaded(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-    obs: &Obs,
-) -> Result<PlaybackCohortReport> {
-    playback_cohort_core(video, segments, cache, n_sessions, workers, steps_per_session, obs)
-}
-
-fn playback_cohort_core(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-    obs: &Obs,
-) -> Result<PlaybackCohortReport> {
-    let n_segments = segments.len().max(1) as u32;
-    if n_sessions == 0 {
-        return Ok(PlaybackCohortReport {
-            sessions: 0,
-            failed: 0,
-            outcomes: Vec::new(),
-            frames_served: 0,
-            frames_decoded: 0,
-            switches: 0,
-            reuse: DecodeReuse::from_cache(&cache.stats()),
-        });
-    }
-    let workers = workers.max(1).min(n_sessions);
-    let (job_tx, job_rx) = channel::unbounded::<usize>();
-    let (res_tx, res_rx) =
-        channel::unbounded::<(usize, std::result::Result<PlaybackStats, String>)>();
-    for i in 0..n_sessions {
-        job_tx.send(i).expect("queue open");
-    }
-    drop(job_tx);
-
-    let completed_ctr = obs.counter("cohort.sessions_completed", &[("pillar", "runtime")]);
-    let failed_ctr = obs.counter("cohort.sessions_failed", &[("pillar", "runtime")]);
-    let _ = crossbeam::scope(|s| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let video = video.clone();
-            let cache = cache.clone();
-            let completed_ctr = completed_ctr.clone();
-            let failed_ctr = failed_ctr.clone();
-            s.spawn(move |_| {
-                for i in job_rx.iter() {
-                    // The recorder lives *outside* the unwind boundary:
-                    // a panicking session still flushes its spans.
-                    let mut rec = if obs.enabled() {
-                        SpanRecorder::new(format!("playback-{i:04}"))
-                    } else {
-                        SpanRecorder::disabled()
-                    };
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        play_one_session(
-                            video.clone(),
-                            segments.clone(),
-                            cache.clone(),
-                            i,
-                            n_segments,
-                            steps_per_session,
-                            obs,
-                            &mut rec,
-                        )
-                    }));
-                    obs.attach(rec);
-                    let row = match run {
-                        Ok(Ok(r)) => {
-                            completed_ctr.inc();
-                            Ok(r)
-                        }
-                        Ok(Err(e)) => {
-                            failed_ctr.inc();
-                            Err(e.to_string())
-                        }
-                        Err(payload) => {
-                            failed_ctr.inc();
-                            Err(panic_reason(payload))
-                        }
-                    };
-                    if res_tx.send((i, row)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    drop(res_tx);
-
-    let mut rows: Vec<Option<std::result::Result<PlaybackStats, String>>> =
-        (0..n_sessions).map(|_| None).collect();
-    for (i, row) in res_rx.iter() {
-        rows[i] = Some(row);
-    }
-    let (outcomes, stats) = split_rows(rows);
-
-    Ok(PlaybackCohortReport {
-        sessions: stats.len(),
-        failed: outcomes.iter().filter(|o| o.is_failed()).count(),
-        outcomes,
-        frames_served: stats.iter().map(|s| s.frames_served).sum(),
-        frames_decoded: stats.iter().map(|s| s.frames_decoded).sum(),
-        switches: stats.iter().map(|s| s.switches).sum(),
-        reuse: DecodeReuse::from_cache(&cache.stats()),
-    })
-}
-
-/// One seeded playback walk; deterministic in `(i, n_segments, steps)`.
-/// The trace timeline is the session's simulated playhead (33 ms per
-/// rendered step), never wall time.
-#[allow(clippy::too_many_arguments)]
-fn play_one_session(
-    video: Arc<EncodedVideo>,
-    segments: SegmentTable,
-    cache: Arc<GopCache>,
-    i: usize,
-    n_segments: u32,
-    steps: usize,
-    obs: &Obs,
-    rec: &mut SpanRecorder,
-) -> Result<PlaybackStats> {
-    let initial = SegmentId(i as u32 % n_segments);
-    let mut player =
-        PlaybackController::shared(video, segments, initial, cache)?.with_obs(obs);
-    // Cohort-wide series on the session playhead. Bin accumulation is
-    // commutative and the horizon (16 s) dwarfs any session playhead,
-    // so the export is byte-identical however workers interleave.
-    let renders = obs.series(SeriesSpec::counter("server.renders", 250_000, 64));
-    let switches = obs.series(SeriesSpec::counter("server.switches", 250_000, 64));
-    let mut rng = StdRng::seed_from_u64(0x9e37_79b9 ^ i as u64);
-    let mut now_us: u64 = 0;
-    rec.enter_with("session", i as u64, now_us);
-    rec.event("render", 0, now_us);
-    player.current_frame()?;
-    for step in 0..steps {
-        if rng.gen_range(0..4u32) == 0 {
-            let target = SegmentId(rng.gen_range(0..n_segments));
-            rec.event("switch", target.0 as u64, now_us);
-            switches.record(now_us, 1);
-            player.switch_segment(target)?;
-        } else {
-            player.advance_ms(33);
-            now_us = now_us.saturating_add(33_000);
-            rec.event("render", step as u64 + 1, now_us);
-            renders.record(now_us, 1);
-            player.current_frame()?;
-        }
-    }
-    rec.exit(now_us);
-    Ok(player.stats())
 }
 
 #[cfg(test)]
@@ -1010,14 +730,21 @@ mod tests {
         let a = run(1, 16);
         let b = run(4, 16);
         let c = run(4, 2);
+        // Capacity 0 disables caching, and with it the batch prewarm.
+        let d = run(4, 0);
         // Session walks are seeded per index: served frames and switches
         // never depend on scheduling or on cache capacity.
         assert_eq!(a.frames_served, b.frames_served);
         assert_eq!(a.switches, b.switches);
-        assert_eq!(a.frames_served, c.frames_served);
-        assert_eq!(a.switches, c.switches);
-        // Only the decode cost varies: a tiny cache decodes more.
+        for other in [&c, &d] {
+            assert_eq!(a.frames_served, other.frames_served);
+            assert_eq!(a.switches, other.switches);
+        }
+        // Only the decode cost varies: a tiny cache decodes more, and no
+        // cache decodes most.
         assert!(c.frames_decoded >= a.frames_decoded);
+        assert!(d.frames_decoded >= c.frames_decoded);
+        assert_eq!(d.reuse.hits, 0);
     }
 
     #[test]

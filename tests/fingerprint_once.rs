@@ -2,10 +2,10 @@
 //!
 //! Every player needs the video's content id to key the shared GOP
 //! cache. `GopCache::video_id` memoises it per `Arc` allocation, so a
-//! cohort call pays one O(payload) hash in total, not one per learner —
-//! on the executor path, the thread-per-session reference path and the
-//! lockstep batched runner alike. `cache.fingerprints` counts the hashes
-//! an observed cache actually ran.
+//! cohort call pays one O(payload) hash in total, not one per learner.
+//! `cache.fingerprints` counts the hashes an observed cache actually
+//! ran. Concurrent first lookups from several threads are covered by
+//! `vgbl-media`'s own cache tests.
 
 use std::sync::Arc;
 
@@ -16,10 +16,7 @@ use vgbl_media::synth::{FootageSpec, ShotSpec};
 use vgbl_media::timeline::FrameRate;
 use vgbl_media::SegmentTable;
 use vgbl_obs::Obs;
-use vgbl_runtime::{
-    run_playback_cohort, run_playback_cohort_batched, run_playback_cohort_observed,
-    run_playback_cohort_observed_threaded,
-};
+use vgbl_runtime::{run_playback_cohort, run_playback_cohort_observed};
 
 const SESSIONS: usize = 12;
 const STEPS: usize = 10;
@@ -68,37 +65,6 @@ fn executor_cohort_fingerprints_the_video_once() {
     run_playback_cohort(video.clone(), &table, cache.clone(), SESSIONS, 2, STEPS).unwrap();
     assert_eq!(fingerprints(&obs), 1);
     assert_eq!(cache.video_id(&video), VideoId::of(&video));
-}
-
-#[test]
-fn threaded_reference_cohort_fingerprints_the_video_once() {
-    let (video, table) = clip();
-    let obs = Obs::recording();
-    // Four workers construct players concurrently; the memo's lock
-    // keeps their first lookups to one hash.
-    let report = run_playback_cohort_observed_threaded(
-        video,
-        &table,
-        observed_cache(&obs),
-        SESSIONS,
-        4,
-        STEPS,
-        &obs,
-    )
-    .unwrap();
-    assert_eq!((report.sessions, report.failed), (SESSIONS, 0));
-    assert_eq!(fingerprints(&obs), 1);
-}
-
-#[test]
-fn batched_cohort_fingerprints_the_video_once() {
-    let (video, table) = clip();
-    let obs = Obs::recording();
-    let report =
-        run_playback_cohort_batched(video, &table, observed_cache(&obs), SESSIONS, 2, STEPS)
-            .unwrap();
-    assert_eq!((report.sessions, report.failed), (SESSIONS, 0));
-    assert_eq!(fingerprints(&obs), 1);
 }
 
 #[test]
